@@ -16,8 +16,8 @@
 
 use datagen::{CorpusSpec, corpus};
 use facade_bench::{
-    census_json, export_trace, export_trace_from, mem_unit, mib, profile_json, scale, secs,
-    serve_metrics_if_requested, speedup,
+    census_json, export_trace, export_trace_from, gc_pause_quantiles, mem_unit, mib, profile_json,
+    scale, secs, serve_metrics_if_requested, speedup,
 };
 use hyracks_rs::{Backend, Cluster, ClusterConfig, EsOutput, JobStats, WcOutput};
 use metrics::{Registry, TextTable};
@@ -126,6 +126,7 @@ fn json_heap_section(reference: &RunPair) -> String {
             }
         }
     }
+    let [p50, _, p99] = gc_pause_quantiles(&hist);
     format!(
         concat!(
             "{{\"wall_secs\": {:.6}, \"gc_secs\": {:.6}, \"gc_count\": {}, ",
@@ -136,8 +137,8 @@ fn json_heap_section(reference: &RunPair) -> String {
         reference.wc.stats.gc_time.as_secs_f64() + reference.es.stats.gc_time.as_secs_f64(),
         reference.wc.stats.gc_count + reference.es.stats.gc_count,
         logged,
-        hist.percentile(50.0),
-        hist.percentile(99.0),
+        p50,
+        p99,
         census_json(&reference.wc.stats.census),
     )
 }

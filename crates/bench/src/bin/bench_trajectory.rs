@@ -17,8 +17,8 @@
 
 use datagen::{Graph, GraphSpec};
 use facade_bench::{
-    census_json, export_trace, export_trace_from, mem_unit, profile_json, scale, secs,
-    serve_metrics_if_requested, speedup,
+    census_json, export_trace, export_trace_from, gc_pause_quantiles, mem_unit, profile_json,
+    scale, secs, serve_metrics_if_requested, speedup,
 };
 use graphchi_rs::{Backend, Engine, EngineConfig, PageRank, RunOutcome};
 use managed_heap::format_gc_log_line;
@@ -82,6 +82,7 @@ fn json_heap_section(reference: &RunOutcome, gc_log_path: &str) -> String {
     for record in &reference.pauses {
         hist.record(record.pause_ns);
     }
+    let [p50, _, p99] = gc_pause_quantiles(&hist);
     format!(
         concat!(
             "{{\"wall_secs\": {:.6}, \"gc_secs\": {:.6}, \"gc_count\": {}, ",
@@ -92,8 +93,8 @@ fn json_heap_section(reference: &RunOutcome, gc_log_path: &str) -> String {
         reference.timer.phase(phases::GC).as_secs_f64(),
         reference.stats.gc_count,
         reference.pauses.len(),
-        hist.percentile(50.0),
-        hist.percentile(99.0),
+        p50,
+        p99,
         gc_log_path,
         census_json(&reference.census),
     )

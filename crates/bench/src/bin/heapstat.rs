@@ -23,7 +23,7 @@
 //! Honours `FACADE_SCALE`; `FACADE_HEAPSTAT_OUT` overrides the JSON path.
 
 use data_store::{Backend, ElemTy, FieldTy, PagePool, Store, StoreCensus};
-use facade_bench::{census_json, mib, scale};
+use facade_bench::{census_json, gc_pause_quantiles, mib, scale};
 use managed_heap::format_gc_log_line;
 use metrics::{OutOfMemory, Registry, Sampler, TextTable};
 use std::path::PathBuf;
@@ -167,6 +167,7 @@ fn main() {
     std::fs::write(&prom_path, registry.render_prometheus()).expect("write prometheus text");
     eprintln!("wrote {}", prom_path.display());
 
+    let [gc_p50, gc_p90, gc_p99] = gc_pause_quantiles(&gc_hist);
     let json = format!(
         concat!(
             "{{\n",
@@ -185,9 +186,9 @@ fn main() {
         census_json(&managed),
         census_json(&facade),
         pauses.len(),
-        gc_hist.percentile(50.0),
-        gc_hist.percentile(90.0),
-        gc_hist.percentile(99.0),
+        gc_p50,
+        gc_p90,
+        gc_p99,
         samples,
         registry.snapshot_json(),
     );

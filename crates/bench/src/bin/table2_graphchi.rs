@@ -107,9 +107,30 @@ fn summarize(records: &[RunRecord]) {
         let et = |rs: &[&RunRecord]| rs.iter().map(|r| r.total_secs).sum::<f64>() / rs.len() as f64;
         let gt = |rs: &[&RunRecord]| rs.iter().map(|r| r.gc_secs).sum::<f64>() / rs.len() as f64;
         println!(
-            "{app}: mean ET reduction {:.1}%  mean GC reduction {:.1}x",
+            "{app}: mean ET reduction {:.1}%  mean GC reduction {}",
             facade_bench::reduction_pct(et(&p), et(&p2)),
-            facade_bench::speedup(gt(&p), gt(&p2)),
+            gc_reduction(gt(&p), gt(&p2)),
         );
+    }
+}
+
+/// P's mean GC time over P′'s as a factor; P′ usually never collects, and
+/// a ratio over zero seconds is no number to print.
+fn gc_reduction(p_gc: f64, p2_gc: f64) -> String {
+    if p2_gc > 0.0 {
+        format!("{:.1}x", facade_bench::speedup(p_gc, p2_gc))
+    } else {
+        "n/a (P′ GC = 0 s)".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::gc_reduction;
+
+    #[test]
+    fn gc_reduction_over_zero_is_not_infinite() {
+        assert_eq!(gc_reduction(0.5, 0.1), "5.0x");
+        assert_eq!(gc_reduction(0.5, 0.0), "n/a (P′ GC = 0 s)");
     }
 }

@@ -209,6 +209,16 @@ pub fn census_json(census: &data_store::StoreCensus) -> String {
     out
 }
 
+/// The GC-pause quantiles every bench report carries (p50, p90, p99), as
+/// fractions: [`metrics::Histogram::percentile`] takes 0.0–1.0, and a
+/// percent such as `50.0` clamps to 1.0 and reports the maximum pause.
+pub const GC_PAUSE_QUANTILES: [f64; 3] = [0.50, 0.90, 0.99];
+
+/// `[p50, p90, p99]` of a GC-pause histogram, in its unit (ns).
+pub fn gc_pause_quantiles(hist: &metrics::Histogram) -> [u64; 3] {
+    GC_PAUSE_QUANTILES.map(|q| hist.percentile(q))
+}
+
 /// Percentage reduction from `before` to `after` (positive = improvement).
 pub fn reduction_pct(before: f64, after: f64) -> f64 {
     if before > 0.0 {
@@ -237,6 +247,23 @@ mod tests {
         assert_eq!(speedup(100.0, 50.0), 2.0);
         assert_eq!(reduction_pct(0.0, 5.0), 0.0);
         assert!(speedup(1.0, 0.0).is_infinite());
+    }
+
+    #[test]
+    fn gc_pause_quantiles_resolve_a_known_spread() {
+        let hist = metrics::Registry::new().histogram("pauses_ns");
+        // 90 short pauses of ~1 µs and 10 long ones of ~1 ms.
+        for i in 0..100u64 {
+            hist.record(if i % 10 == 0 {
+                1_000_000 + i
+            } else {
+                1_000 + i
+            });
+        }
+        let [p50, p90, p99] = gc_pause_quantiles(&hist);
+        assert!(p50 < 4_096, "p50 {p50} ns lies among the short pauses");
+        assert!(p50 <= p90 && p90 < p99, "p50 {p50}, p90 {p90}, p99 {p99}");
+        assert_eq!(p99, hist.max(), "p99 is a long pause");
     }
 
     #[test]

@@ -697,6 +697,74 @@ impl Store {
         self.array_set_i64(r, i, v.to_bits() as i64);
     }
 
+    /// Bulk-writes `data` into an `I32` array from element `at` on. The
+    /// facade backend resolves the page and checks bounds once per run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at + data.len()` exceeds the array length.
+    pub fn array_write_i32s(&mut self, r: Rec, at: usize, data: &[i32]) {
+        match &mut self.inner {
+            Inner::Heap { heap, .. } => {
+                for (i, &v) in data.iter().enumerate() {
+                    heap.array_set_i32(Self::h(r), at + i, v);
+                }
+            }
+            Inner::Facade { paged, .. } => paged.array_write_i32s(Self::p(r), at, data),
+        }
+    }
+
+    /// Bulk-reads `out.len()` elements of an `I32` array from element `at`
+    /// on into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at + out.len()` exceeds the array length.
+    pub fn array_read_i32s(&self, r: Rec, at: usize, out: &mut [i32]) {
+        match &self.inner {
+            Inner::Heap { heap, .. } => {
+                for (i, v) in out.iter_mut().enumerate() {
+                    *v = heap.array_get_i32(Self::h(r), at + i);
+                }
+            }
+            Inner::Facade { paged, .. } => paged.array_read_i32s(Self::p(r), at, out),
+        }
+    }
+
+    /// Bulk-writes `data` into an `I64` array, as doubles, from element
+    /// `at` on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at + data.len()` exceeds the array length.
+    pub fn array_write_f64s(&mut self, r: Rec, at: usize, data: &[f64]) {
+        match &mut self.inner {
+            Inner::Heap { heap, .. } => {
+                for (i, &v) in data.iter().enumerate() {
+                    heap.array_set_f64(Self::h(r), at + i, v);
+                }
+            }
+            Inner::Facade { paged, .. } => paged.array_write_f64s(Self::p(r), at, data),
+        }
+    }
+
+    /// Bulk-reads `out.len()` elements of an `I64` array, as doubles, from
+    /// element `at` on into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at + out.len()` exceeds the array length.
+    pub fn array_read_f64s(&self, r: Rec, at: usize, out: &mut [f64]) {
+        match &self.inner {
+            Inner::Heap { heap, .. } => {
+                for (i, v) in out.iter_mut().enumerate() {
+                    *v = heap.array_get_f64(Self::h(r), at + i);
+                }
+            }
+            Inner::Facade { paged, .. } => paged.array_read_f64s(Self::p(r), at, out),
+        }
+    }
+
     /// Reads a `U8` element.
     pub fn array_get_u8(&self, r: Rec, i: usize) -> u8 {
         match &self.inner {
@@ -1020,6 +1088,65 @@ mod tests {
             s.array_set_i32(ints, 2, -9);
             assert_eq!(s.array_get_i32(ints, 2), -9);
         }
+    }
+
+    #[test]
+    fn bulk_array_runs_match_scalar_access_on_both_backends() {
+        for mut s in both() {
+            let ints = s.alloc_array(ElemTy::I32, 8).unwrap();
+            let doubles = s.alloc_array(ElemTy::I64, 8).unwrap();
+            s.array_write_i32s(ints, 2, &[5, -6, i32::MIN]);
+            s.array_write_f64s(doubles, 2, &[0.25, -0.0, f64::INFINITY]);
+            let scalar: Vec<i32> = (0..8).map(|i| s.array_get_i32(ints, i)).collect();
+            assert_eq!(scalar, [0, 0, 5, -6, i32::MIN, 0, 0, 0]);
+            let bits: Vec<u64> = (0..8)
+                .map(|i| s.array_get_f64(doubles, i).to_bits())
+                .collect();
+            let expect = [0.0, 0.0, 0.25, -0.0, f64::INFINITY, 0.0, 0.0, 0.0].map(f64::to_bits);
+            assert_eq!(bits, expect);
+
+            for i in 0..8 {
+                s.array_set_i32(ints, i, 10 * i as i32);
+                s.array_set_f64(doubles, i, i as f64 + 0.5);
+            }
+            let mut got_i = [0i32; 3];
+            s.array_read_i32s(ints, 5, &mut got_i);
+            assert_eq!(got_i, [50, 60, 70]);
+            let mut got_f = [0f64; 3];
+            s.array_read_f64s(doubles, 5, &mut got_f);
+            assert_eq!(got_f, [5.5, 6.5, 7.5]);
+        }
+    }
+
+    fn four_elem_array(backend: Backend, elem: ElemTy) -> (Store, Rec) {
+        let mut s = Store::builder().backend(backend).budget(8 << 20).build();
+        let a = s.alloc_array(elem, 4).unwrap();
+        (s, a)
+    }
+
+    /// One `#[should_panic]` out-of-bounds test per bulk accessor and
+    /// backend.
+    macro_rules! bulk_out_of_bounds {
+        ($($name:ident: $backend:ident, $elem:ident, |$s:ident, $a:ident| $call:expr;)*) => {$(
+            #[test]
+            #[should_panic(expected = "out of bounds")]
+            #[allow(unused_mut)]
+            fn $name() {
+                let (mut $s, $a) = four_elem_array(Backend::$backend, ElemTy::$elem);
+                $call;
+            }
+        )*};
+    }
+
+    bulk_out_of_bounds! {
+        heap_bulk_i32_write_out_of_bounds: Heap, I32, |s, a| s.array_write_i32s(a, 2, &[1, 2, 3]);
+        facade_bulk_i32_write_out_of_bounds: Facade, I32, |s, a| s.array_write_i32s(a, 2, &[1, 2, 3]);
+        heap_bulk_i32_read_out_of_bounds: Heap, I32, |s, a| s.array_read_i32s(a, 1, &mut [0; 4]);
+        facade_bulk_i32_read_out_of_bounds: Facade, I32, |s, a| s.array_read_i32s(a, 1, &mut [0; 4]);
+        heap_bulk_f64_write_out_of_bounds: Heap, I64, |s, a| s.array_write_f64s(a, 4, &[1.0]);
+        facade_bulk_f64_write_out_of_bounds: Facade, I64, |s, a| s.array_write_f64s(a, 4, &[1.0]);
+        heap_bulk_f64_read_out_of_bounds: Heap, I64, |s, a| s.array_read_f64s(a, 3, &mut [0.0; 2]);
+        facade_bulk_f64_read_out_of_bounds: Facade, I64, |s, a| s.array_read_f64s(a, 3, &mut [0.0; 2]);
     }
 
     #[test]

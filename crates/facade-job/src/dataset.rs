@@ -1,18 +1,21 @@
 //! The resident dataset jobs run against.
 
 use datagen::{CorpusSpec, Graph, GraphSpec, corpus};
-use std::sync::Arc;
+use graphchi_rs::Csr;
+use std::sync::{Arc, OnceLock};
 
 /// The inputs a job host keeps resident: one corpus (WC/ES) and one graph
 /// (PR/CC), shared by reference across every concurrent job — loading or
-/// generating them is paid once, not per submission. Cloning a `Dataset`
-/// clones two `Arc`s.
+/// generating them is paid once, not per submission. The graph's CSR is
+/// built lazily by the first vertex job and then stays resident too.
+/// Cloning a `Dataset` clones three `Arc`s; clones share the CSR.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     /// The text corpus cluster workloads consume.
     pub corpus: Arc<Vec<String>>,
     /// The graph the vertex workloads consume.
     pub graph: Arc<Graph>,
+    csr: Arc<OnceLock<Arc<Csr>>>,
 }
 
 impl Dataset {
@@ -21,7 +24,15 @@ impl Dataset {
         Dataset {
             corpus: Arc::new(corpus),
             graph: Arc::new(graph),
+            csr: Arc::default(),
         }
+    }
+
+    /// The graph's CSR index (GraphChi's shards), built on first use and
+    /// shared by every later vertex job: about 16 bytes per edge held for
+    /// the dataset's lifetime, instead of one build per job.
+    pub fn csr(&self) -> Arc<Csr> {
+        Arc::clone(self.csr.get_or_init(|| Arc::new(Csr::build(&self.graph))))
     }
 
     /// The deterministic synthetic dataset: `corpus_bytes` of Zipfian text
@@ -47,5 +58,14 @@ mod tests {
         assert_eq!(a.graph.edges.len(), b.graph.edges.len());
         let c = a.clone();
         assert!(Arc::ptr_eq(&a.corpus, &c.corpus), "clone shares the corpus");
+    }
+
+    #[test]
+    fn csr_is_built_once_and_shared_by_clones() {
+        let a = Dataset::synthetic(200, 800, 1_000, 42);
+        let b = a.clone();
+        let first = b.csr();
+        assert!(Arc::ptr_eq(&first, &a.csr()), "a clone's build is reused");
+        assert_eq!(first.edges, 800);
     }
 }

@@ -130,7 +130,7 @@ impl JobRunner for GraphChiRunner {
             ..EngineConfig::default()
         };
         let started = Instant::now();
-        let mut engine = Engine::new(&data.graph, config);
+        let mut engine = Engine::with_csr(data.csr(), config);
         let outcome = match &spec.workload {
             Workload::PageRank { iterations } => engine.execute(&PageRank::new(*iterations)),
             Workload::ConnectedComponents { max_iterations } => {
@@ -338,6 +338,54 @@ mod tests {
                 counts: direct.counts
             }
             .fingerprint()
+        );
+    }
+
+    #[test]
+    fn vertex_jobs_share_one_csr_and_match_fresh_engines() {
+        let data = dataset();
+        let ctx = ExecContext::default();
+        let csr = data.csr();
+        // CC writes its in-edges back, so it covers the second writeback
+        // direction; PR only writes out-edges.
+        for workload in [
+            Workload::PageRank { iterations: 3 },
+            Workload::ConnectedComponents { max_iterations: 10 },
+        ] {
+            for threads in [1, 2] {
+                let spec = JobSpec {
+                    threads,
+                    ..spec(workload.clone())
+                };
+                let report = GraphChiRunner.execute(&spec, &data, &ctx).unwrap();
+                let mut fresh = Engine::new(
+                    &data.graph,
+                    EngineConfig {
+                        backend: spec.backend,
+                        budget_bytes: spec.budget_bytes,
+                        intervals: spec.intervals,
+                        threads,
+                        ..EngineConfig::default()
+                    },
+                );
+                let direct = match workload {
+                    Workload::PageRank { iterations } => fresh.execute(&PageRank::new(iterations)),
+                    _ => fresh.execute(&ConnectedComponents::new(10)),
+                }
+                .unwrap();
+                assert_eq!(
+                    report.output.fingerprint(),
+                    JobOutput::Vertices {
+                        values: direct.values
+                    }
+                    .fingerprint(),
+                    "{workload} at {threads} threads over the cached CSR"
+                );
+            }
+        }
+        assert!(
+            Arc::ptr_eq(&csr, &data.csr()),
+            "every job ran over the one CSR built for the dataset"
         );
     }
 

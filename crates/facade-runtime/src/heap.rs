@@ -834,6 +834,84 @@ impl PagedHeap {
         self.array_set_i64(r, idx, v.to_bits() as i64);
     }
 
+    /// Byte offset of elements `at..at + n`, with one bounds check for the
+    /// whole run.
+    #[inline]
+    fn run_offset(b: &[u8], at: usize, n: usize, elem_size: usize) -> usize {
+        let len = Self::u32_of(b, 4) as usize;
+        let end = at.saturating_add(n);
+        assert!(
+            end <= len,
+            "array run {at}..{end} out of bounds (len {len})"
+        );
+        ARRAY_HEADER_BYTES as usize + at * elem_size
+    }
+
+    /// Writes `data` into an `I32` array from element `at` on: one page
+    /// resolution and one bounds check for the whole run (models
+    /// `System.arraycopy`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at + data.len()` exceeds the array length.
+    pub fn array_write_i32s(&mut self, r: PageRef, at: usize, data: &[i32]) {
+        let b = self.record_bytes_mut(r);
+        let start = Self::run_offset(b, at, data.len(), 4);
+        for (dst, v) in b[start..start + 4 * data.len()]
+            .chunks_exact_mut(4)
+            .zip(data)
+        {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    /// Reads `out.len()` elements of an `I32` array from element `at` on
+    /// into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at + out.len()` exceeds the array length.
+    pub fn array_read_i32s(&self, r: PageRef, at: usize, out: &mut [i32]) {
+        let b = self.record_bytes(r);
+        let start = Self::run_offset(b, at, out.len(), 4);
+        let src = &b[start..start + 4 * out.len()];
+        for (v, src) in out.iter_mut().zip(src.chunks_exact(4)) {
+            *v = i32::from_le_bytes(src.try_into().expect("4-byte chunk"));
+        }
+    }
+
+    /// Writes `data` into an `I64` array, as doubles, from element `at` on:
+    /// one page resolution and one bounds check for the whole run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at + data.len()` exceeds the array length.
+    pub fn array_write_f64s(&mut self, r: PageRef, at: usize, data: &[f64]) {
+        let b = self.record_bytes_mut(r);
+        let start = Self::run_offset(b, at, data.len(), 8);
+        for (dst, v) in b[start..start + 8 * data.len()]
+            .chunks_exact_mut(8)
+            .zip(data)
+        {
+            dst.copy_from_slice(&v.to_bits().to_le_bytes());
+        }
+    }
+
+    /// Reads `out.len()` elements of an `I64` array, as doubles, from
+    /// element `at` on into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at + out.len()` exceeds the array length.
+    pub fn array_read_f64s(&self, r: PageRef, at: usize, out: &mut [f64]) {
+        let b = self.record_bytes(r);
+        let start = Self::run_offset(b, at, out.len(), 8);
+        let src = &b[start..start + 8 * out.len()];
+        for (v, src) in out.iter_mut().zip(src.chunks_exact(8)) {
+            *v = f64::from_bits(u64::from_le_bytes(src.try_into().expect("8-byte chunk")));
+        }
+    }
+
     /// Reads a `U8` array element.
     pub fn array_get_u8(&self, r: PageRef, idx: usize) -> u8 {
         let b = self.record_bytes(r);
@@ -967,6 +1045,83 @@ mod tests {
         let mut h = PagedHeap::new();
         let a = h.alloc_array(ElemKind::I32, 4).unwrap();
         h.array_get_i32(a, 4);
+    }
+
+    #[test]
+    fn bulk_array_runs_match_scalar_access() {
+        let mut h = PagedHeap::new();
+        let ints = h.alloc_array(ElemKind::I32, 10).unwrap();
+        let doubles = h.alloc_array(ElemKind::I64, 10).unwrap();
+        h.array_write_i32s(ints, 3, &[-1, 7, i32::MAX, i32::MIN]);
+        h.array_write_f64s(doubles, 3, &[-0.0, 0.5, f64::MAX, f64::NAN]);
+        // Bulk writes land where scalar reads see them, and leave the
+        // elements around the run untouched.
+        let scalar_i: Vec<i32> = (0..10).map(|i| h.array_get_i32(ints, i)).collect();
+        assert_eq!(scalar_i, [0, 0, 0, -1, 7, i32::MAX, i32::MIN, 0, 0, 0]);
+        let bits = |r, i| h.array_get_f64(r, i).to_bits();
+        assert_eq!(bits(doubles, 3), (-0.0f64).to_bits());
+        assert_eq!(bits(doubles, 6), f64::NAN.to_bits());
+        assert_eq!(bits(doubles, 7), 0);
+
+        // Scalar writes read back in bulk, at an offset run.
+        for i in 0..10 {
+            h.array_set_i32(ints, i, i as i32 * 3);
+            h.array_set_f64(doubles, i, i as f64 / 4.0);
+        }
+        let mut got_i = [0i32; 4];
+        h.array_read_i32s(ints, 6, &mut got_i);
+        assert_eq!(got_i, [18, 21, 24, 27]);
+        let mut got_f = [0f64; 4];
+        h.array_read_f64s(doubles, 6, &mut got_f);
+        assert_eq!(got_f, [1.5, 1.75, 2.0, 2.25]);
+        // An empty run at the end of the array is in bounds.
+        h.array_read_i32s(ints, 10, &mut []);
+    }
+
+    #[test]
+    fn bulk_array_runs_work_on_oversize_arrays() {
+        let mut h = PagedHeap::new();
+        let n = 2 * PAGE_CAPACITY / 8;
+        let a = h.alloc_array(ElemKind::I64, n).unwrap();
+        assert!(a.is_oversize());
+        let data: Vec<f64> = (0..n - 5).map(|i| i as f64).collect();
+        h.array_write_f64s(a, 5, &data);
+        assert_eq!(h.array_get_f64(a, n - 1), (n - 6) as f64);
+        let mut back = vec![0.0; n - 5];
+        h.array_read_f64s(a, 5, &mut back);
+        assert_eq!(back, data);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn bulk_i32_write_is_bounds_checked() {
+        let mut h = PagedHeap::new();
+        let a = h.alloc_array(ElemKind::I32, 4).unwrap();
+        h.array_write_i32s(a, 2, &[1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn bulk_i32_read_is_bounds_checked() {
+        let mut h = PagedHeap::new();
+        let a = h.alloc_array(ElemKind::I32, 4).unwrap();
+        h.array_read_i32s(a, 1, &mut [0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn bulk_f64_write_is_bounds_checked() {
+        let mut h = PagedHeap::new();
+        let a = h.alloc_array(ElemKind::I64, 4).unwrap();
+        h.array_write_f64s(a, 4, &[1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn bulk_f64_read_is_bounds_checked() {
+        let mut h = PagedHeap::new();
+        let a = h.alloc_array(ElemKind::I64, 4).unwrap();
+        h.array_read_f64s(a, usize::MAX, &mut [0.0]);
     }
 
     #[test]

@@ -39,12 +39,37 @@ pub(crate) mod pointer_fields {
 /// writes go through the record store — this *is* the data path.
 #[derive(Debug)]
 pub struct VertexView<'a> {
-    pub(crate) store: &'a mut Store,
-    pub(crate) vertex: Rec,
-    pub(crate) inlined: bool,
+    store: &'a mut Store,
+    vertex: Rec,
+    inlined: bool,
+    /// The vertex's edge arrays, resolved once when the view is built:
+    /// `ChiPointer` ref arrays under P, `[nbr, eid]` runs under P'.
+    in_edges: Rec,
+    out_edges: Rec,
+    /// The edge-value arrays under P' (null under P).
+    in_values: Rec,
+    out_values: Rec,
 }
 
-impl VertexView<'_> {
+impl<'a> VertexView<'a> {
+    /// A view of `vertex`, with its four edge-array refs read up front so
+    /// each edge access below costs one store call fewer.
+    pub(crate) fn new(store: &'a mut Store, vertex: Rec, inlined: bool) -> Self {
+        let in_edges = store.get_rec(vertex, vertex_fields::IN_EDGES);
+        let out_edges = store.get_rec(vertex, vertex_fields::OUT_EDGES);
+        let in_values = store.get_rec(vertex, vertex_fields::IN_VALUES);
+        let out_values = store.get_rec(vertex, vertex_fields::OUT_VALUES);
+        Self {
+            store,
+            vertex,
+            inlined,
+            in_edges,
+            out_edges,
+            in_values,
+            out_values,
+        }
+    }
+
     /// The vertex id.
     pub fn id(&self) -> u32 {
         self.store.get_i32(self.vertex, vertex_fields::ID) as u32
@@ -71,20 +96,17 @@ impl VertexView<'_> {
     }
 
     fn in_edge(&self, i: usize) -> Rec {
-        let arr = self.store.get_rec(self.vertex, vertex_fields::IN_EDGES);
-        self.store.array_get_rec(arr, i)
+        self.store.array_get_rec(self.in_edges, i)
     }
 
     fn out_edge(&self, i: usize) -> Rec {
-        let arr = self.store.get_rec(self.vertex, vertex_fields::OUT_EDGES);
-        self.store.array_get_rec(arr, i)
+        self.store.array_get_rec(self.out_edges, i)
     }
 
     /// The value carried by in-edge `i`.
     pub fn in_edge_value(&self, i: usize) -> f64 {
         if self.inlined {
-            let vals = self.store.get_rec(self.vertex, vertex_fields::IN_VALUES);
-            self.store.array_get_f64(vals, i)
+            self.store.array_get_f64(self.in_values, i)
         } else {
             let e = self.in_edge(i);
             self.store.get_f64(e, pointer_fields::VALUE)
@@ -95,8 +117,7 @@ impl VertexView<'_> {
     /// as connected components).
     pub fn set_in_edge_value(&mut self, i: usize, v: f64) {
         if self.inlined {
-            let vals = self.store.get_rec(self.vertex, vertex_fields::IN_VALUES);
-            self.store.array_set_f64(vals, i, v);
+            self.store.array_set_f64(self.in_values, i, v);
         } else {
             let e = self.in_edge(i);
             self.store.set_f64(e, pointer_fields::VALUE, v);
@@ -106,8 +127,7 @@ impl VertexView<'_> {
     /// The source vertex of in-edge `i`.
     pub fn in_neighbor(&self, i: usize) -> u32 {
         if self.inlined {
-            let meta = self.store.get_rec(self.vertex, vertex_fields::IN_EDGES);
-            self.store.array_get_i32(meta, 2 * i) as u32
+            self.store.array_get_i32(self.in_edges, 2 * i) as u32
         } else {
             let e = self.in_edge(i);
             self.store.get_i32(e, pointer_fields::NEIGHBOR) as u32
@@ -117,8 +137,7 @@ impl VertexView<'_> {
     /// The value carried by out-edge `i`.
     pub fn out_edge_value(&self, i: usize) -> f64 {
         if self.inlined {
-            let vals = self.store.get_rec(self.vertex, vertex_fields::OUT_VALUES);
-            self.store.array_get_f64(vals, i)
+            self.store.array_get_f64(self.out_values, i)
         } else {
             let e = self.out_edge(i);
             self.store.get_f64(e, pointer_fields::VALUE)
@@ -128,8 +147,7 @@ impl VertexView<'_> {
     /// Writes the value of out-edge `i`.
     pub fn set_out_edge_value(&mut self, i: usize, v: f64) {
         if self.inlined {
-            let vals = self.store.get_rec(self.vertex, vertex_fields::OUT_VALUES);
-            self.store.array_set_f64(vals, i, v);
+            self.store.array_set_f64(self.out_values, i, v);
         } else {
             let e = self.out_edge(i);
             self.store.set_f64(e, pointer_fields::VALUE, v);
@@ -139,8 +157,7 @@ impl VertexView<'_> {
     /// The destination vertex of out-edge `i`.
     pub fn out_neighbor(&self, i: usize) -> u32 {
         if self.inlined {
-            let meta = self.store.get_rec(self.vertex, vertex_fields::OUT_EDGES);
-            self.store.array_get_i32(meta, 2 * i) as u32
+            self.store.array_get_i32(self.out_edges, 2 * i) as u32
         } else {
             let e = self.out_edge(i);
             self.store.get_i32(e, pointer_fields::NEIGHBOR) as u32

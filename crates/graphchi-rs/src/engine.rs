@@ -4,7 +4,8 @@
 use crate::apps::{VertexProgram, VertexView, pointer_fields, vertex_fields};
 use crate::preprocess::Csr;
 use data_store::{
-    ClassTag, ElemTy, FieldTy, PagePool, PauseRecord, PoolCounters, Store, StoreCensus, StoreStats,
+    ClassTag, ElemTy, FieldTy, PagePool, PauseRecord, PoolCounters, Rec, Store, StoreCensus,
+    StoreStats,
 };
 use datagen::Graph;
 use metrics::report::Backend;
@@ -545,6 +546,69 @@ fn register_schema(store: &mut Store) -> Schema {
     }
 }
 
+/// The `ChiVertex` fields of one edge direction: the edge array
+/// (`ChiPointer` refs under P, the `[nbr, eid]` run under P'), the value
+/// array (P' only) and the edge count.
+#[derive(Debug, Clone, Copy)]
+struct EdgeFields {
+    edges: usize,
+    values: usize,
+    count: usize,
+}
+
+const IN_EDGE_FIELDS: EdgeFields = EdgeFields {
+    edges: vertex_fields::IN_EDGES,
+    values: vertex_fields::IN_VALUES,
+    count: vertex_fields::NUM_IN,
+};
+
+const OUT_EDGE_FIELDS: EdgeFields = EdgeFields {
+    edges: vertex_fields::OUT_EDGES,
+    values: vertex_fields::OUT_VALUES,
+    count: vertex_fields::NUM_OUT,
+};
+
+/// The P' load of one edge direction of vertex `vr`: the compiler's
+/// inlining optimization flattens the `ChiPointer` records into parallel
+/// primitive arrays, so the window's `[nbr, eid]` and value runs each land
+/// in their page array with one bulk copy.
+fn load_inlined_edges(
+    store: &mut Store,
+    vr: Rec,
+    fields: EdgeFields,
+    meta: &[i32],
+    vals: &[f64],
+) -> Result<(), OutOfMemory> {
+    let meta_arr = store.alloc_array(ElemTy::I32, meta.len())?;
+    store.set_rec(vr, fields.edges, meta_arr);
+    let vals_arr = store.alloc_array(ElemTy::I64, vals.len())?;
+    store.set_rec(vr, fields.values, vals_arr);
+    store.array_write_i32s(meta_arr, 0, meta);
+    store.array_write_f64s(vals_arr, 0, vals);
+    Ok(())
+}
+
+/// The P load of one edge direction of vertex `vr`: one `ChiPointer` record
+/// per `(neighbor, edge id, value)` — the object graph the paper profiles.
+fn load_pointer_edges(
+    store: &mut Store,
+    vr: Rec,
+    fields: EdgeFields,
+    pointer: ClassTag,
+    edges: impl ExactSizeIterator<Item = (i32, i32, f64)>,
+) -> Result<(), OutOfMemory> {
+    let arr = store.alloc_array(ElemTy::Ref, edges.len())?;
+    store.set_rec(vr, fields.edges, arr);
+    for (i, (neighbor, eid, value)) in edges.enumerate() {
+        let e = store.alloc(pointer)?;
+        store.set_i32(e, pointer_fields::NEIGHBOR, neighbor);
+        store.set_i32(e, pointer_fields::EDGE_ID, eid);
+        store.set_f64(e, pointer_fields::VALUE, value);
+        store.array_set_rec(arr, i, e);
+    }
+    Ok(())
+}
+
 /// The buffered effects of one subinterval, produced against a frozen
 /// interval-start snapshot and replayed by the main thread in subinterval
 /// order — the mechanism that makes parallel runs bit-identical to
@@ -570,9 +634,10 @@ struct CommitBuf {
 /// touches only shared immutable state (the CSR and the interval-start
 /// snapshot), so a worker that is ahead can assemble windows for
 /// subintervals owned by busy peers; the owner then streams the flat
-/// arrays into its store instead of chasing CSR indices mid-load. The
-/// content is a pure function of the frozen snapshot, so a prefetched load
-/// writes bit-identical records to an inline one.
+/// arrays into its store instead of chasing CSR indices mid-load (a P'
+/// load nobody gathered ahead gathers its own window first). The content is a
+/// pure function of the frozen snapshot, so a prefetched load writes
+/// bit-identical records to an inline one.
 #[derive(Debug)]
 struct PrefetchedSub {
     /// `(neighbor, edge id)` pairs for every in-edge, in vertex order.
@@ -636,7 +701,7 @@ struct ResumeState {
 /// one or more vertex programs.
 #[derive(Debug)]
 pub struct Engine {
-    csr: Csr,
+    csr: Arc<Csr>,
     config: EngineConfig,
     resume: Option<ResumeState>,
     /// Checkpoints [`Engine::resume_from`] rejected (torn writes,
@@ -645,12 +710,23 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Builds the engine, running preprocessing (CSR construction — the
+    /// Builds the engine over a fresh CSR of `graph`: preprocessing (the
     /// stand-in for shard creation; excluded from reported times, as the
-    /// paper excludes preprocessing).
+    /// paper excludes preprocessing) runs once per call. A host that runs
+    /// many jobs over one graph builds the CSR once and shares it through
+    /// [`Engine::with_csr`] instead, as GraphChi shards a graph once rather
+    /// than per job.
     pub fn new(graph: &Graph, config: EngineConfig) -> Self {
+        Self::with_csr(Arc::new(Csr::build(graph)), config)
+    }
+
+    /// Builds the engine over an already-built, shared CSR. The engine only
+    /// reads it, so any number of concurrent engines may share one; output
+    /// is bit-identical to [`Engine::new`] over the graph it was built
+    /// from.
+    pub fn with_csr(csr: Arc<Csr>, config: EngineConfig) -> Self {
         Self {
-            csr: Csr::build(graph),
+            csr,
             config,
             resume: None,
             discarded_checkpoints: 0,
@@ -1313,7 +1389,8 @@ impl Engine {
     /// Gathers one subinterval's shard window from the frozen snapshot —
     /// the CSR-chasing, cache-missing half of `sub_load` — without touching
     /// any store. Runs on whichever worker has slack, overlapping the next
-    /// subinterval's load with the current one's update.
+    /// subinterval's load with the current one's update, or inline at the
+    /// start of a P' load no peer gathered ahead.
     fn prefetch_sub(&self, (start, end): (u32, u32), edge_values: &[f64]) -> PrefetchedSub {
         let csr = &self.csr;
         let started = std::time::Instant::now();
@@ -1362,9 +1439,12 @@ impl Engine {
     /// is one sub-iteration in the FACADE sense: everything allocated here
     /// dies here. Reads come from the frozen interval-start snapshot;
     /// writes go into the returned [`CommitBuf`] for the main thread to
-    /// replay in order. When a [`PrefetchedSub`] window is supplied, the
-    /// load phase streams its flat arrays instead of gathering from the
-    /// CSR — same writes, same order, bit-identical records.
+    /// replay in order. Under P' the load phase always streams a
+    /// [`PrefetchedSub`] window: the `prefetched` one when a peer gathered
+    /// it, otherwise one gathered inline. P streams a window only when a
+    /// peer prefetched one and otherwise builds its records from the CSR.
+    /// Every source holds the same values, so the records are
+    /// bit-identical.
     #[allow(clippy::too_many_arguments)]
     fn process_subinterval(
         &self,
@@ -1384,6 +1464,16 @@ impl Engine {
         // ---- load phase (LT): build ChiVertex + ChiPointer records -------
         store.set_alloc_site(alloc_sites::LOAD);
         let load_start = std::time::Instant::now();
+        let inlined = store.is_facade() && self.config.inline_records;
+        let gathered_ahead = prefetched.is_some();
+        // P' always streams a gathered window: the one a peer prefetched, or
+        // one gathered here. P builds its records straight from the CSR
+        // unless a peer prefetched, as the managed program does.
+        let window = if inlined {
+            Some(prefetched.unwrap_or_else(|| self.prefetch_sub((start, end), edge_values)))
+        } else {
+            prefetched
+        };
         let vertex_arr = store.alloc_array(ElemTy::Ref, count)?;
         // Root the container so the heap backend keeps the subinterval's
         // records live across collections triggered mid-load.
@@ -1392,12 +1482,27 @@ impl Engine {
         } else {
             Some(store.add_root(vertex_arr))
         };
-        let inlined = store.is_facade() && self.config.inline_records;
+        // Per direction: the fields it fills, its CSR arrays, and its half
+        // of the window, whose flat arrays hold the subinterval's CSR slots
+        // in order. In-edges come first: the allocation order fixes the
+        // page layout and the allocation count fault plans run on.
+        let dirs = [
+            (
+                IN_EDGE_FIELDS,
+                &csr.in_offsets,
+                &csr.in_src,
+                &csr.in_eid,
+                window.as_ref().map(|w| (&w.in_meta[..], &w.in_vals[..])),
+            ),
+            (
+                OUT_EDGE_FIELDS,
+                &csr.out_offsets,
+                &csr.out_dst,
+                &csr.out_eid,
+                window.as_ref().map(|w| (&w.out_meta[..], &w.out_vals[..])),
+            ),
+        ];
         let mut load = || -> Result<(), OutOfMemory> {
-            // Edges consumed so far from the prefetched window; its flat
-            // arrays are in vertex order, mirroring the inline gather.
-            let mut in_seen = 0usize;
-            let mut out_seen = 0usize;
             for v in start..end {
                 let vi = (v - start) as usize;
                 let vr = store.alloc(schema.vertex)?;
@@ -1407,106 +1512,39 @@ impl Engine {
                 store.array_set_rec(vertex_arr, vi, vr);
                 store.set_i32(vr, vertex_fields::ID, v as i32);
                 store.set_f64(vr, vertex_fields::VALUE, values[v as usize]);
-                let n_in = csr.in_degree(v) as usize;
-                let n_out = csr.out_degree(v) as usize;
-                store.set_i32(vr, vertex_fields::NUM_IN, n_in as i32);
-                store.set_i32(vr, vertex_fields::NUM_OUT, n_out as i32);
-
-                if inlined {
-                    // P': the compiler's inlining optimization flattens the
-                    // ChiPointer records into parallel primitive arrays.
-                    let in_meta = store.alloc_array(ElemTy::I32, 2 * n_in)?;
-                    store.set_rec(vr, vertex_fields::IN_EDGES, in_meta);
-                    let in_vals = store.alloc_array(ElemTy::I64, n_in)?;
-                    store.set_rec(vr, vertex_fields::IN_VALUES, in_vals);
-                    if let Some(p) = prefetched.as_ref() {
-                        for i in 0..n_in {
-                            let k = in_seen + i;
-                            store.array_set_i32(in_meta, 2 * i, p.in_meta[2 * k]);
-                            store.array_set_i32(in_meta, 2 * i + 1, p.in_meta[2 * k + 1]);
-                            store.array_set_f64(in_vals, i, p.in_vals[k]);
-                        }
+                for &(fields, offsets, nbrs, eids, win) in &dirs {
+                    let slots = offsets[v as usize] as usize..offsets[v as usize + 1] as usize;
+                    store.set_i32(vr, fields.count, slots.len() as i32);
+                    let Some((meta, vals)) = win else {
+                        load_pointer_edges(
+                            store,
+                            vr,
+                            fields,
+                            schema.pointer,
+                            slots.map(|s| {
+                                let eid = eids[s];
+                                (nbrs[s] as i32, eid as i32, edge_values[eid as usize])
+                            }),
+                        )?;
+                        continue;
+                    };
+                    let first = offsets[start as usize] as usize;
+                    let run = slots.start - first..slots.end - first;
+                    let (meta, vals) = (&meta[2 * run.start..2 * run.end], &vals[run]);
+                    if inlined {
+                        load_inlined_edges(store, vr, fields, meta, vals)?;
                     } else {
-                        let base = csr.in_offsets[v as usize] as usize;
-                        for i in 0..n_in {
-                            let eid = csr.in_eid[base + i];
-                            store.array_set_i32(in_meta, 2 * i, csr.in_src[base + i] as i32);
-                            store.array_set_i32(in_meta, 2 * i + 1, eid as i32);
-                            store.array_set_f64(in_vals, i, edge_values[eid as usize]);
-                        }
-                    }
-                    let out_meta = store.alloc_array(ElemTy::I32, 2 * n_out)?;
-                    store.set_rec(vr, vertex_fields::OUT_EDGES, out_meta);
-                    let out_vals = store.alloc_array(ElemTy::I64, n_out)?;
-                    store.set_rec(vr, vertex_fields::OUT_VALUES, out_vals);
-                    if let Some(p) = prefetched.as_ref() {
-                        for i in 0..n_out {
-                            let k = out_seen + i;
-                            store.array_set_i32(out_meta, 2 * i, p.out_meta[2 * k]);
-                            store.array_set_i32(out_meta, 2 * i + 1, p.out_meta[2 * k + 1]);
-                            store.array_set_f64(out_vals, i, p.out_vals[k]);
-                        }
-                    } else {
-                        let base = csr.out_offsets[v as usize] as usize;
-                        for i in 0..n_out {
-                            let eid = csr.out_eid[base + i];
-                            store.array_set_i32(out_meta, 2 * i, csr.out_dst[base + i] as i32);
-                            store.array_set_i32(out_meta, 2 * i + 1, eid as i32);
-                            store.array_set_f64(out_vals, i, edge_values[eid as usize]);
-                        }
-                    }
-                    in_seen += n_in;
-                    out_seen += n_out;
-                    continue;
-                }
-
-                let in_arr = store.alloc_array(ElemTy::Ref, n_in)?;
-                store.set_rec(vr, vertex_fields::IN_EDGES, in_arr);
-                if let Some(p) = prefetched.as_ref() {
-                    for i in 0..n_in {
-                        let k = in_seen + i;
-                        let e = store.alloc(schema.pointer)?;
-                        store.set_i32(e, pointer_fields::NEIGHBOR, p.in_meta[2 * k]);
-                        store.set_i32(e, pointer_fields::EDGE_ID, p.in_meta[2 * k + 1]);
-                        store.set_f64(e, pointer_fields::VALUE, p.in_vals[k]);
-                        store.array_set_rec(in_arr, i, e);
-                    }
-                } else {
-                    let base = csr.in_offsets[v as usize] as usize;
-                    for i in 0..n_in {
-                        let e = store.alloc(schema.pointer)?;
-                        store.set_i32(e, pointer_fields::NEIGHBOR, csr.in_src[base + i] as i32);
-                        let eid = csr.in_eid[base + i];
-                        store.set_i32(e, pointer_fields::EDGE_ID, eid as i32);
-                        store.set_f64(e, pointer_fields::VALUE, edge_values[eid as usize]);
-                        store.array_set_rec(in_arr, i, e);
+                        load_pointer_edges(
+                            store,
+                            vr,
+                            fields,
+                            schema.pointer,
+                            meta.chunks_exact(2)
+                                .zip(vals)
+                                .map(|(m, &x)| (m[0], m[1], x)),
+                        )?;
                     }
                 }
-
-                let out_arr = store.alloc_array(ElemTy::Ref, n_out)?;
-                store.set_rec(vr, vertex_fields::OUT_EDGES, out_arr);
-                if let Some(p) = prefetched.as_ref() {
-                    for i in 0..n_out {
-                        let k = out_seen + i;
-                        let e = store.alloc(schema.pointer)?;
-                        store.set_i32(e, pointer_fields::NEIGHBOR, p.out_meta[2 * k]);
-                        store.set_i32(e, pointer_fields::EDGE_ID, p.out_meta[2 * k + 1]);
-                        store.set_f64(e, pointer_fields::VALUE, p.out_vals[k]);
-                        store.array_set_rec(out_arr, i, e);
-                    }
-                } else {
-                    let base = csr.out_offsets[v as usize] as usize;
-                    for i in 0..n_out {
-                        let e = store.alloc(schema.pointer)?;
-                        store.set_i32(e, pointer_fields::NEIGHBOR, csr.out_dst[base + i] as i32);
-                        let eid = csr.out_eid[base + i];
-                        store.set_i32(e, pointer_fields::EDGE_ID, eid as i32);
-                        store.set_f64(e, pointer_fields::VALUE, edge_values[eid as usize]);
-                        store.array_set_rec(out_arr, i, e);
-                    }
-                }
-                in_seen += n_in;
-                out_seen += n_out;
             }
             Ok(())
         };
@@ -1515,10 +1553,10 @@ impl Engine {
         facade_trace::complete_with_flow(
             "sub_load",
             load_start,
-            prefetched.as_ref().map_or(0, |p| p.flow),
+            window.as_ref().map_or(0, |w| w.flow),
             &[
                 ("first_vertex", start.into()),
-                ("prefetched", prefetched.is_some().into()),
+                ("prefetched", gathered_ahead.into()),
             ],
         );
         if let Err(e) = load_result {
@@ -1534,12 +1572,7 @@ impl Engine {
         let mut changed = false;
         for vi in 0..count {
             let vr = store.array_get_rec(vertex_arr, vi);
-            let mut view = VertexView {
-                store,
-                vertex: vr,
-                inlined,
-            };
-            changed |= app.update(&mut view);
+            changed |= app.update(&mut VertexView::new(store, vr, inlined));
         }
         timer.add(phases::UPDATE, update_start.elapsed());
         facade_trace::complete(
@@ -1553,42 +1586,38 @@ impl Engine {
         // exact order the sequential engine would fold the writes, so the
         // main thread's replay reproduces it bit for bit.
         let wb_start = std::time::Instant::now();
+        let written: &[EdgeFields] = if app.writes_in_edges() {
+            &[OUT_EDGE_FIELDS, IN_EDGE_FIELDS]
+        } else {
+            &[OUT_EDGE_FIELDS]
+        };
         let mut new_values = Vec::with_capacity(count);
         let mut edge_writes = Vec::new();
+        // P' reads each vertex's edge runs back in bulk through these.
+        let (mut meta_buf, mut vals_buf) = (Vec::new(), Vec::new());
         for vi in 0..count {
             let vr = store.array_get_rec(vertex_arr, vi);
             new_values.push(store.get_f64(vr, vertex_fields::VALUE));
-            if inlined {
-                let out_meta = store.get_rec(vr, vertex_fields::OUT_EDGES);
-                let out_vals = store.get_rec(vr, vertex_fields::OUT_VALUES);
-                let n_out = store.get_i32(vr, vertex_fields::NUM_OUT) as usize;
-                for i in 0..n_out {
-                    let eid = store.array_get_i32(out_meta, 2 * i + 1) as u32;
-                    edge_writes.push((eid, store.array_get_f64(out_vals, i)));
-                }
-                if app.writes_in_edges() {
-                    let in_meta = store.get_rec(vr, vertex_fields::IN_EDGES);
-                    let in_vals = store.get_rec(vr, vertex_fields::IN_VALUES);
-                    let n_in = store.get_i32(vr, vertex_fields::NUM_IN) as usize;
-                    for i in 0..n_in {
-                        let eid = store.array_get_i32(in_meta, 2 * i + 1) as u32;
-                        edge_writes.push((eid, store.array_get_f64(in_vals, i)));
+            for fields in written {
+                let edges = store.get_rec(vr, fields.edges);
+                if inlined {
+                    let n = store.get_i32(vr, fields.count) as usize;
+                    meta_buf.resize(2 * n, 0);
+                    vals_buf.resize(n, 0.0);
+                    store.array_read_i32s(edges, 0, &mut meta_buf);
+                    store.array_read_f64s(store.get_rec(vr, fields.values), 0, &mut vals_buf);
+                    edge_writes.extend(
+                        meta_buf
+                            .chunks_exact(2)
+                            .zip(&vals_buf)
+                            .map(|(m, &value)| (m[1] as u32, value)),
+                    );
+                } else {
+                    for i in 0..store.array_len(edges) {
+                        let e = store.array_get_rec(edges, i);
+                        let eid = store.get_i32(e, pointer_fields::EDGE_ID) as u32;
+                        edge_writes.push((eid, store.get_f64(e, pointer_fields::VALUE)));
                     }
-                }
-                continue;
-            }
-            let out_arr = store.get_rec(vr, vertex_fields::OUT_EDGES);
-            for i in 0..store.array_len(out_arr) {
-                let e = store.array_get_rec(out_arr, i);
-                let eid = store.get_i32(e, pointer_fields::EDGE_ID) as u32;
-                edge_writes.push((eid, store.get_f64(e, pointer_fields::VALUE)));
-            }
-            if app.writes_in_edges() {
-                let in_arr = store.get_rec(vr, vertex_fields::IN_EDGES);
-                for i in 0..store.array_len(in_arr) {
-                    let e = store.array_get_rec(in_arr, i);
-                    let eid = store.get_i32(e, pointer_fields::EDGE_ID) as u32;
-                    edge_writes.push((eid, store.get_f64(e, pointer_fields::VALUE)));
                 }
             }
         }

@@ -4,7 +4,7 @@
 use datagen::Graph;
 
 /// In- and out-CSR indexes over a graph, with per-edge ids that address the
-//  persistent edge-value array.
+/// persistent edge-value array.
 /// Built once in the control path; identical for `P` and `P'` runs.
 #[derive(Debug, Clone)]
 pub struct Csr {
